@@ -10,8 +10,8 @@ import (
 // least this many samples lie beyond it.
 const minBeyond = 10
 
-// pctLadder lists the percentiles a tail may fall back to, highest first.
-var pctLadder = []float64{99.9, 99, 95, 90, 75, 50}
+// pctLadder lists the percentiles a p99 may fall back to, highest first.
+var pctLadder = []float64{95, 90, 75, 50}
 
 // rankOf is the nearest-rank index of percentile p in n sorted samples.
 func rankOf(n int, p float64) int {
