@@ -38,20 +38,6 @@ func TestPercentileRule(t *testing.T) {
 	if d.N != 1000 || d.P50 != 500 || d.Tail != 990 || d.TailPct != 99 {
 		t.Errorf("summarize(1..1000) = %+v, want n=1000 p50=500 p99=990", d)
 	}
-	// Sliced: ten slices of 1000, one per decade of latency; the lower
-	// quartile is the third slice's.
-	all := make([]float64, 0, 10000)
-	for sl := 0; sl < 10; sl++ {
-		for i := 1; i <= 1000; i++ {
-			all = append(all, float64(10*sl+i%10))
-		}
-	}
-	if d := sliced(all); d.Slices != 10 || d.TailPct != 99 || d.P50 != 24 || d.Tail != 29 {
-		t.Errorf("sliced = slices %d p%g, p50 %v tail %v; want 10 slices, p99, 24 and 29", d.Slices, d.TailPct, d.P50, d.Tail)
-	}
-	if d := sliced(all[:1999]); d.Slices != 1 {
-		t.Errorf("1999 samples gave %d slices, want 1 (each slice needs %d)", d.Slices, sliceMin)
-	}
 	if got := summarize(nil); got.N != 0 || got.P50 != 0 {
 		t.Errorf("summarize(nil) = %+v, want zero", got)
 	}
@@ -181,7 +167,7 @@ func TestBudgetAdditivity(t *testing.T) {
 	for i, r := range reads {
 		lat[i] = r.latMS()
 	}
-	d := sliced(lat)
+	d := summarize(lat)
 	for _, c := range []struct{ pct, target float64 }{{50, d.P50}, {d.TailPct, d.Tail}} {
 		bp := budgetAt(reads, c.pct, c.target, wan)
 		if bp.gap() > budgetTolerance {

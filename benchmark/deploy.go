@@ -21,8 +21,8 @@ const (
 	// before the one knapsack run.
 	seedDrawsPerObject = 50
 	// probeKeys is the key space of the write probe that read-only
-	// workloads close with; probe keys are never read.
-	probeKeys = 100
+	// workloads close with, geo-update's; probe keys are never read.
+	probeKeys = geoObjects
 )
 
 var clientRegion = geo.Frankfurt

@@ -51,8 +51,7 @@ type issuer struct {
 	judge    *judge
 	interval time.Duration
 	warm     time.Duration
-	// probe aims ops at the write-probe keys: op i writes probe key
-	// i mod probeKeys, whatever key loadgen drew.
+	// probe aims ops at the write-probe keys: key obj-N becomes probe-N.
 	probe bool
 	keep  bool
 	sem   chan struct{}
@@ -89,9 +88,6 @@ func (is *issuer) Issue(op loadgen.Op, done func(error)) {
 		is.issued++
 	}
 	is.sem <- struct{}{}
-	if is.probe {
-		op.Key = objectName((is.n - 1) % probeKeys)
-	}
 	go func() {
 		rec := is.do(op, sched)
 		<-is.sem

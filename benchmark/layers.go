@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -145,8 +147,15 @@ func layerMetrics(rep *report, d *deployment, base, win, probe *window) {
 			{"self_ms", b.Self}, {"verify_ms", b.Verify},
 		} {
 			rep.set(tag+c.name, c.v, "ms")
+			if c.v < 0 {
+				fmt.Fprintf(os.Stderr, "benchmark: warning: %s%s is %.3f ms: spans overlap\n", tag, c.name, c.v)
+			}
 		}
 		rep.set(tag+"gap_pct", 100*b.gap(), "%")
+		if b.gap() > budgetTolerance {
+			fmt.Fprintf(os.Stderr, "benchmark: warning: p%g budget sums to %.3f ms against %.3f ms, %.1f%% off (tolerance %g%%)\n",
+				b.Pct, b.sum(), b.TargetMS, 100*b.gap(), 100*budgetTolerance)
+		}
 	}
 	rep.sample("read", untraced)
 	rep.sample("read_traced", traced)
@@ -337,6 +346,17 @@ func cpuModel() string {
 		}
 	}
 	return "unknown"
+}
+
+// resetRSSPeak sets the peak resident set (VmHWM) back to the current
+// resident set. Where /proc is missing, rssPeakMB reads the runtime
+// instead and there is nothing to reset.
+func resetRSSPeak() error {
+	err := os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return err
 }
 
 // rssPeakMB is the process's peak resident set (VmHWM), falling back to

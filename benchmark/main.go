@@ -4,7 +4,7 @@
 // the public client API with internal/loadgen as the scheduler, verifies
 // every read's bytes, and prints one JSON result line.
 //
-//	bash benchmark/run.sh --workload geo-read --seed 1 --seconds 20 --trace 0
+//	bash benchmark/run.sh --workload geo-read --seed 1 --seconds 25 --trace 0
 //
 // --trace 0 reports the end-to-end metrics; --trace 1 runs the workload
 // untraced and then traced from a fresh set-up with the same seed, and
@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -35,10 +36,9 @@ type workload struct {
 	Rate        float64 `json:"rate_ops"`
 	UpdateFrac  float64 `json:"update_frac"`
 	Warm        float64 `json:"warm_s"`
-	// Probe closes the window with probeWrites writes at probeRate to
-	// keys no read touches, so write latency is measured on read-only
-	// workloads without disturbing the cache under test. Probe writes
-	// cycle through probeKeys keys, so no two overlap on a key.
+	// Probe closes the window with a write probe (probeConfig), so write
+	// latency is measured on read-only workloads without disturbing the
+	// cache under test.
 	Probe bool `json:"probe,omitempty"`
 	// Ladder is the ascending rate ladder behind max_rate_ops (traced
 	// runs only); a rung passes with read p99 under P99LimitMS.
@@ -48,25 +48,28 @@ type workload struct {
 
 const (
 	objectBytes = 128 << 10
-	probeWrites = 4000
-	probeRate   = 400
+	geoObjects  = 300
 	// setupRepeats is how many times a --trace 0 run sets up; setup_s is
 	// the median.
 	setupRepeats = 3
-	rungSeconds  = 1.5
-	rungWarm     = 250 * time.Millisecond
+	// rungSeconds holds over 1000 reads at the lowest rung, enough for
+	// a true p99.
+	rungSeconds = 2.5
+	rungWarm    = 250 * time.Millisecond
 	// drainTimeout bounds the wait for stragglers after a window's last op.
 	drainTimeout = 60 * time.Second
 )
 
+var geoUpdate = workload{Name: "geo-update", Objects: geoObjects, ObjectBytes: objectBytes, CacheSlots: 180,
+	DelayScale: 0.01, Rate: 150, UpdateFrac: 0.5, Warm: 3}
+
 var workloads = []workload{
-	{Name: "geo-read", Objects: 300, ObjectBytes: objectBytes, CacheSlots: 180, DelayScale: 0.01,
+	{Name: "geo-read", Objects: geoObjects, ObjectBytes: objectBytes, CacheSlots: 180, DelayScale: 0.01,
 		Rate: 350, Warm: 3, Probe: true},
 	{Name: "resident-read", Objects: 64, ObjectBytes: objectBytes, CacheSlots: 64 * codeK,
 		Rate: 500, Warm: 2, Probe: true,
-		Ladder: []float64{1000, 1500, 2000, 2500}, P99LimitMS: 10},
-	{Name: "geo-update", Objects: 300, ObjectBytes: objectBytes, CacheSlots: 180, DelayScale: 0.01,
-		Rate: 150, UpdateFrac: 0.5, Warm: 3},
+		Ladder: []float64{500, 1000, 1500, 2000, 2500}, P99LimitMS: 10},
+	geoUpdate,
 }
 
 func findWorkload(name string) (workload, bool) {
@@ -93,10 +96,14 @@ func (w workload) mainConfig(seed int64, seconds float64) loadgen.Config {
 	}
 }
 
-func (w workload) probeConfig(seed int64) loadgen.Config {
+// probeConfig is geo-update's write stream — its update rate, warm-up,
+// key count and skew — for as long as the window, aimed at probeKeys
+// keys that no read touches.
+func probeConfig(seed int64, seconds float64) loadgen.Config {
 	return loadgen.Config{
-		Rate: probeRate, Duration: secs(probeWrites / probeRate), Seed: seed,
-		Mix: []loadgen.OpWeight{{Kind: kindUpdate, Weight: 1}}, Keys: probeKeys, WaitTimeout: drainTimeout,
+		Rate: geoUpdate.Rate * geoUpdate.UpdateFrac, Duration: secs(seconds), Warmup: secs(geoUpdate.Warm),
+		Seed: seed, Mix: []loadgen.OpWeight{{Kind: kindUpdate, Weight: 1}},
+		Keys: probeKeys, Skew: skew, WaitTimeout: drainTimeout,
 	}
 }
 
@@ -122,7 +129,7 @@ const outDir = ".bench_out"
 func main() {
 	name := flag.String("workload", "", "workload: geo-read, resident-read or geo-update")
 	seed := flag.Int64("seed", 1, "seed for every generated input")
-	seconds := flag.Float64("seconds", 20, "length of the measured window in seconds")
+	seconds := flag.Float64("seconds", 25, "length of the measured window in seconds")
 	traced := flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
 	flag.Parse()
 	w, ok := findWorkload(*name)
@@ -186,6 +193,7 @@ type winSum struct {
 	Attempted  int     `json:"attempted"`
 	Failed     int     `json:"failed"`
 	WarmFailed int     `json:"warm_failed"`
+	StealPct   float64 `json:"host_steal_pct"`
 }
 
 // tally adds a window's ops to the run's attempted/failed counts and
@@ -198,7 +206,7 @@ func (rep *report) tally(label string, win *window) {
 	rep.Windows[label] = winSum{
 		Offered: win.Point.OfferedOps, Achieved: win.Point.AchievedOps,
 		SendLagMS: win.Point.SendLagMaxUs / 1000, Attempted: win.Issued,
-		Failed: win.failed(), WarmFailed: win.WarmFailed,
+		Failed: win.failed(), WarmFailed: win.WarmFailed, StealPct: win.stealPct(),
 	}
 	rep.Peaks[label] = win.Peaks
 	rep.Result.Attempted += win.Issued
@@ -233,20 +241,26 @@ func (rep *report) sample(name string, d dist) {
 }
 
 // runEndToEnd sets up setupRepeats times, measures the last deployment
-// untraced, and reports the end-to-end metrics.
+// untraced, and reports the end-to-end metrics. The unused deployments'
+// memory is returned to the OS and the peak-RSS mark reset before the
+// last set-up, so rss_peak_mb covers only the measured deployment.
 func runEndToEnd(rep *report, w workload, seed int64, seconds float64) error {
 	var setups []float64
 	var d *deployment
 	for i := 0; i < setupRepeats; i++ {
+		if i > 0 {
+			d.close()
+			debug.FreeOSMemory()
+			if err := resetRSSPeak(); err != nil {
+				fmt.Fprintf(os.Stderr, "benchmark: warning: peak RSS not reset, so rss_peak_mb covers every set-up: %v\n", err)
+			}
+		}
 		var err error
 		if d, err = setUp(w, seed); err != nil {
 			return err
 		}
 		setups = append(setups, d.total.Seconds())
 		rep.Setups = append(rep.Setups, d.steps)
-		if i < setupRepeats-1 {
-			d.close()
-		}
 	}
 	defer d.close()
 	win, probe, err := measure(rep, d, w, seed, seconds, false)
@@ -284,7 +298,7 @@ func measure(rep *report, d *deployment, w workload, seed int64, seconds float64
 	}
 	rep.tally(label, win)
 	if w.Probe {
-		if probe, err = runWindow(d, w.probeConfig(seed), true, keep); err != nil {
+		if probe, err = runWindow(d, probeConfig(seed, seconds), true, keep); err != nil {
 			return nil, nil, err
 		}
 		rep.tally(label+"-probe", probe)
@@ -369,6 +383,16 @@ func (rep *report) printSummary() {
 		rep.Workload.Name, rep.Seed, rep.Trace, rep.Result.Attempted, rep.Result.Failed)
 	prov, _ := json.Marshal(rep.Provenance)
 	fmt.Printf("provenance %s\n", prov)
+	labels := make([]string, 0, len(rep.Windows))
+	for l := range rep.Windows {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	for _, l := range labels {
+		ws := rep.Windows[l]
+		fmt.Printf("window %-18s offered %7.1f achieved %7.1f ops/s, send lag max %.2f ms, host steal %.2f%%\n",
+			l, ws.Offered, ws.Achieved, ws.SendLagMS, ws.StealPct)
+	}
 	names := make([]string, 0, len(rep.Samples))
 	for n := range rep.Samples {
 		names = append(names, n)

@@ -39,55 +39,11 @@ func reportablePct(n int, want float64) float64 {
 
 // dist is one timing distribution: its sample count, median, and the tail
 // the percentile rule allows (TailPct records which percentile that is).
-// Slices is how many consecutive slices the values were split into when
-// P50 and Tail summarize slices (see sliced).
 type dist struct {
 	N       int     `json:"n"`
 	P50     float64 `json:"p50"`
 	Tail    float64 `json:"tail"`
 	TailPct float64 `json:"tail_pct"`
-	Slices  int     `json:"slices,omitempty"`
-	// SliceP50s and SliceTails are each slice's own values.
-	SliceP50s  []float64 `json:"slice_p50s,omitempty"`
-	SliceTails []float64 `json:"slice_tails,omitempty"`
-}
-
-// Slicing: a window's latencies are split, in arrival order, into up to
-// maxSlices consecutive slices of at least sliceMin samples, so each
-// slice's p99 still has minBeyond samples beyond it. The reported p50 and
-// tail are the lower quartiles of the slices' own (lowerQuartile). Noise
-// from other load on a shared host arrives in episodes of several
-// seconds and only ever adds latency; it must cover three quarters of the
-// window to move the result, while a slowdown of the program's own that
-// lasts the whole window moves it fully.
-const (
-	maxSlices = 10
-	sliceMin  = 1000
-)
-
-// sliced summarizes vals (in arrival order) over slices.
-func sliced(vals []float64) dist {
-	n := len(vals)
-	if n == 0 {
-		return dist{}
-	}
-	k := max(1, min(maxSlices, n/sliceMin))
-	var p50s, tails []float64
-	pct := 100.0
-	for i := 0; i < k; i++ {
-		d := summarize(slices.Clone(vals[i*n/k : (i+1)*n/k]))
-		p50s, tails = append(p50s, d.P50), append(tails, d.Tail)
-		pct = min(pct, d.TailPct)
-	}
-	return dist{N: n, P50: lowerQuartile(p50s), Tail: lowerQuartile(tails), TailPct: pct, Slices: k, SliceP50s: p50s, SliceTails: tails}
-}
-
-// lowerQuartile is the value ranked (k-1)/4, rounded down, among k
-// values: the 3rd lowest of 10, the 2nd of 5 to 8, the lowest of 1 to 4.
-func lowerQuartile(v []float64) float64 {
-	s := slices.Clone(v)
-	sort.Float64s(s)
-	return s[(len(s)-1)/4]
 }
 
 func median(v []float64) float64 {

@@ -3,9 +3,10 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
-	"slices"
-	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/agardist/agar/internal/cache"
@@ -33,12 +34,45 @@ type snap struct {
 	Fams  []metrics.Family
 	Cache cache.Stats
 	Mem   runtime.MemStats
+	// CPU is the host's aggregate CPU time in clock ticks, busy and idle,
+	// and Steal the part of it the hypervisor gave to other guests.
+	CPU, Steal uint64
 }
 
 func takeSnap(d *deployment) snap {
 	s := snap{Fams: d.cl.Registry().Gather(), Cache: d.cl.Node().Cache().Stats()}
 	runtime.ReadMemStats(&s.Mem)
+	s.CPU, s.Steal = hostCPU()
 	return s
+}
+
+// hostCPU reads the aggregate line of /proc/stat; zero where it is
+// unavailable.
+func hostCPU() (total, steal uint64) {
+	data, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0
+	}
+	line, _, _ := strings.Cut(string(data), "\n")
+	fields := strings.Fields(line)
+	// cpu user nice system idle iowait irq softirq steal ...
+	if len(fields) < 9 || fields[0] != "cpu" {
+		return 0, 0
+	}
+	for i, f := range fields[1:9] {
+		v, _ := strconv.ParseUint(f, 10, 64)
+		total += v
+		if i == 7 {
+			steal = v
+		}
+	}
+	return total, steal
+}
+
+// stealPct is the share of the host's CPU time stolen by the hypervisor
+// over the window: other guests' load, which the window's tails absorb.
+func (w *window) stealPct() float64 {
+	return 100 * ratio(float64(w.After.Steal-w.Before.Steal), float64(w.After.CPU-w.Before.CPU))
 }
 
 // peaks holds maxima sampled while a window runs.
@@ -171,16 +205,13 @@ func failureClass(err error) string {
 	return "client-error"
 }
 
-// latencies summarizes the latency of recs in ms over slices in
-// scheduled order.
+// latencies summarizes the latency of recs in ms.
 func latencies(recs []*opRec) dist {
-	s := slices.Clone(recs)
-	sort.Slice(s, func(i, j int) bool { return s[i].Sched < s[j].Sched })
-	v := make([]float64, len(s))
-	for i, r := range s {
+	v := make([]float64, len(recs))
+	for i, r := range recs {
 		v[i] = r.latMS()
 	}
-	return sliced(v)
+	return summarize(v)
 }
 
 // sumFamily adds up every sample of the named family whose labels match
