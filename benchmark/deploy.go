@@ -13,7 +13,7 @@ import (
 )
 
 // Deployment shape shared by every workload: the paper's six regions,
-// RS(9,3), a Frankfurt client.
+// RS(9,3); the client's region is the workload's.
 const (
 	codeK, codeM = 9, 3
 	skew         = 1.1
@@ -25,10 +25,9 @@ const (
 	probeKeys = geoObjects
 )
 
-var clientRegion = geo.Frankfurt
-
 // deployment is one booted cluster with the client the workload drives.
 type deployment struct {
+	region geo.RegionID
 	cl     *live.Cluster
 	reader *live.NetworkReader
 	writer *live.NetworkWriter
@@ -54,7 +53,11 @@ func objectName(i int) string { return "obj-" + strconv.Itoa(i) }
 // op can be scheduled: boot, load every object, seed popularity with a
 // Zipf sequence, run the knapsack once, connect the client.
 func setUp(w workload, seed int64) (*deployment, error) {
-	d := &deployment{}
+	region, err := geo.ParseRegion(w.Client)
+	if err != nil {
+		return nil, err
+	}
+	d := &deployment{region: region}
 	t0 := time.Now()
 	timed := func(name string, f func() error) error {
 		s := time.Now()
@@ -73,7 +76,7 @@ func setUp(w workload, seed int64) (*deployment, error) {
 	err = timed("boot", func() (err error) {
 		d.cl, err = live.StartCluster(live.ClusterConfig{
 			K: codeK, M: codeM,
-			ClientRegion: clientRegion,
+			ClientRegion: region,
 			CacheBytes:   int64(w.CacheSlots) * chunk,
 			ChunkBytes:   chunk,
 			// No background reconfiguration may land in the measured
@@ -123,8 +126,8 @@ func setUp(w workload, seed int64) (*deployment, error) {
 		return fail(err)
 	}
 	if err := timed("connect", func() (err error) {
-		d.reader, err = live.NewNetworkReader(d.cl, clientRegion)
-		d.writer = live.NewNetworkWriter(d.cl, clientRegion)
+		d.reader, err = live.NewNetworkReader(d.cl, region)
+		d.writer = live.NewNetworkWriter(d.cl, region)
 		return err
 	}); err != nil {
 		return fail(err)
@@ -132,7 +135,7 @@ func setUp(w workload, seed int64) (*deployment, error) {
 	d.total = time.Since(t0)
 	d.wanMS = make(map[string]float64)
 	for _, r := range geo.DefaultRegions() {
-		d.wanMS[r.String()] = ms(geo.DefaultMatrix().Get(clientRegion, r)) * w.DelayScale
+		d.wanMS[r.String()] = ms(geo.DefaultMatrix().Get(region, r)) * w.DelayScale
 	}
 	return d, nil
 }

@@ -1,6 +1,6 @@
 // Command benchmark is the repository's end-to-end benchmark. It boots a
-// live Agar deployment in-process (six regions, RS(9,3), a Frankfurt
-// client, in-memory blobs, shard dispatch), drives open-loop load through
+// live Agar deployment in-process (six regions, RS(9,3), a client in the
+// workload's region, in-memory blobs, shard dispatch), drives open-loop load through
 // the public client API with internal/loadgen as the scheduler, verifies
 // every read's bytes, and prints one JSON result line.
 //
@@ -28,7 +28,9 @@ import (
 
 // workload is one fixed set of inputs; only the seed varies between runs.
 type workload struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Client is the region the reader and writer run in.
+	Client      string  `json:"client_region"`
 	Objects     int     `json:"objects"`
 	ObjectBytes int     `json:"object_bytes"`
 	CacheSlots  int     `json:"cache_slots"`
@@ -60,13 +62,15 @@ const (
 	drainTimeout = 60 * time.Second
 )
 
-var geoUpdate = workload{Name: "geo-update", Objects: geoObjects, ObjectBytes: objectBytes, CacheSlots: 180,
+var geoUpdate = workload{Name: "geo-update", Client: "frankfurt", Objects: geoObjects, ObjectBytes: objectBytes, CacheSlots: 180,
 	DelayScale: 0.01, Rate: 150, UpdateFrac: 0.5, Warm: 3}
 
 var workloads = []workload{
-	{Name: "geo-read", Objects: geoObjects, ObjectBytes: objectBytes, CacheSlots: 180, DelayScale: 0.01,
-		Rate: 350, Warm: 3, Probe: true},
-	{Name: "resident-read", Objects: 64, ObjectBytes: objectBytes, CacheSlots: 64 * codeK,
+	{Name: "geo-read", Client: "frankfurt", Objects: geoObjects, ObjectBytes: objectBytes, CacheSlots: 180,
+		DelayScale: 0.01, Rate: 350, Warm: 3, Probe: true},
+	{Name: "geo-read-sydney", Client: "sydney", Objects: geoObjects, ObjectBytes: objectBytes, CacheSlots: 180,
+		DelayScale: 0.01, Rate: 350, Warm: 3, Probe: true},
+	{Name: "resident-read", Client: "frankfurt", Objects: 64, ObjectBytes: objectBytes, CacheSlots: 64 * codeK,
 		Rate: 500, Warm: 2, Probe: true,
 		Ladder: []float64{500, 1000, 1500, 2000, 2500}, P99LimitMS: 10},
 	geoUpdate,
@@ -127,14 +131,14 @@ type result struct {
 const outDir = ".bench_out"
 
 func main() {
-	name := flag.String("workload", "", "workload: geo-read, resident-read or geo-update")
+	name := flag.String("workload", "", "workload: geo-read, geo-read-sydney, resident-read or geo-update")
 	seed := flag.Int64("seed", 1, "seed for every generated input")
 	seconds := flag.Float64("seconds", 25, "length of the measured window in seconds")
 	traced := flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
 	flag.Parse()
 	w, ok := findWorkload(*name)
 	if !ok || *seconds <= 0 || (*traced != 0 && *traced != 1) {
-		fmt.Fprintf(os.Stderr, "usage: benchmark --workload geo-read|resident-read|geo-update --seed N --seconds S --trace 0|1\n")
+		fmt.Fprintf(os.Stderr, "usage: benchmark --workload geo-read|geo-read-sydney|resident-read|geo-update --seed N --seconds S --trace 0|1\n")
 		os.Exit(2)
 	}
 	runtime.GOMAXPROCS(runtime.NumCPU())
